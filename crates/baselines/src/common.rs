@@ -39,7 +39,9 @@ impl BaselineStats {
 /// and merge the copies afterwards. This is the merge cost a system pays
 /// when its edges are not destination-sorted.
 ///
-/// `edges` are `(src, dst)` with values supplied per edge by `src_val`.
+/// `edges` are `(src, dst)` with the source's attribute supplied per edge
+/// by `src_val`; each is scattered right before its `absorb` (these
+/// engines have no per-source pass to hoist it into).
 pub fn coarse_absorb<P, F>(
     prog: &P,
     edges: &[(VertexId, VertexId)],
@@ -67,7 +69,10 @@ where
         let (acc, has) = partial;
         for (k, &(s, d)) in edges[range.clone()].iter().enumerate() {
             let idx = range.start + k;
-            let v = src_val(idx, s);
+            let mut v = src_val(idx, s);
+            if P::SCATTERS {
+                v = prog.scatter(s, &v);
+            }
             if !prog.source_active(s, &v) {
                 continue;
             }

@@ -20,7 +20,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use nxgraph_core::dsss::PreparedGraph;
-use nxgraph_core::engine::{AccBuf, finalize_interval};
+use nxgraph_core::engine::{finalize_interval, scatter_in_place, AccBuf};
 use nxgraph_core::error::EngineResult;
 use nxgraph_core::program::VertexProgram;
 
@@ -90,8 +90,9 @@ pub fn run<P: VertexProgram>(
             for i in 0..p {
                 // The slide: every source interval is re-read from disk for
                 // every pinned destination — the n·P·Ba term.
-                let src_vals: Vec<P::Value> = g.read_interval(i)?;
+                let mut src_vals: Vec<P::Value> = g.read_interval(i)?;
                 let r_i = g.interval_range(i);
+                scatter_in_place(prog, r_i.start, &mut src_vals, cfg.threads);
                 let ss = Arc::new(g.load_subshard_view(i, j, false)?);
                 edges_traversed += ss.num_edges() as u64;
                 nxgraph_core::engine::kernel::absorb_single(

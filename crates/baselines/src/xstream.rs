@@ -125,7 +125,10 @@ impl XStreamEngine {
                 let edges = decode_edge_pairs(&self.disk.read_all(&Self::edges_file(i))?);
                 edges_traversed += edges.len() as u64;
                 for (s, d) in edges {
-                    let sv = src_vals[(s - r_i.start) as usize];
+                    let mut sv = src_vals[(s - r_i.start) as usize];
+                    if P::SCATTERS {
+                        sv = prog.scatter(s, &sv);
+                    }
                     if !prog.source_active(s, &sv) {
                         continue;
                     }

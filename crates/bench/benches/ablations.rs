@@ -19,6 +19,7 @@ use nxgraph_core::engine::kernel::absorb_single;
 use nxgraph_core::engine::AccBuf;
 use nxgraph_core::prep;
 use nxgraph_core::prep::PrepConfig;
+use nxgraph_core::program::VertexProgram;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
 use nxgraph_storage::{Disk, MemDisk};
 
@@ -34,6 +35,12 @@ fn edges() -> (u32, Vec<(u32, u32)>, Arc<Vec<u32>>) {
         deg[s as usize] += 1;
     }
     (n, edges, Arc::new(deg))
+}
+
+/// The kernel's input for one iteration from uniform ranks: every
+/// source's scatter value, as the engines compute it once per source.
+fn scatter_values(prog: &PageRank, n: u32) -> Vec<f64> {
+    (0..n).map(|v| prog.scatter(v, &(1.0 / n as f64))).collect()
 }
 
 /// A sub-shard with destinations sorted but sources left in input order —
@@ -65,7 +72,7 @@ fn dst_only_sorted(edges: &[(u32, u32)]) -> SubShard {
 fn bench_edge_ordering(c: &mut Criterion) {
     let (n, edges, deg) = edges();
     let prog = PageRank::new(n, Arc::clone(&deg));
-    let vals = vec![1.0 / n as f64; n as usize];
+    let shares = scatter_values(&prog, n);
     let sorted = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges.clone())));
     let unsorted_src = Arc::new(SubShardView::from(&dst_only_sorted(&edges)));
 
@@ -74,7 +81,7 @@ fn bench_edge_ordering(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-                absorb_single(&prog, ss, &vals, 0, &mut buf, 4, 8192);
+                absorb_single(&prog, ss, &shares, 0, &mut buf, 4, 8192);
                 black_box(buf.acc[0]);
             })
         });
@@ -85,7 +92,7 @@ fn bench_edge_ordering(c: &mut Criterion) {
 fn bench_task_granularity(c: &mut Criterion) {
     let (n, edges, deg) = edges();
     let prog = PageRank::new(n, Arc::clone(&deg));
-    let vals = vec![1.0 / n as f64; n as usize];
+    let shares = scatter_values(&prog, n);
     let ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges)));
 
     let mut group = c.benchmark_group("edges_per_task");
@@ -93,7 +100,7 @@ fn bench_task_granularity(c: &mut Criterion) {
         group.bench_function(format!("ept_{ept}"), |b| {
             b.iter(|| {
                 let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-                absorb_single(&prog, &ss, &vals, 0, &mut buf, 8, ept);
+                absorb_single(&prog, &ss, &shares, 0, &mut buf, 8, ept);
                 black_box(buf.acc[0]);
             })
         });

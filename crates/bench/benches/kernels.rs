@@ -56,9 +56,14 @@ impl VertexProgram for ScalarPageRank {
     type Accum = f64;
     const APPLY_NEEDS_OLD: bool = false;
     const ALWAYS_APPLY: bool = true;
+    const SCATTERS: bool = true;
 
     fn init(&self, v: VertexId) -> f64 {
         self.0.init(v)
+    }
+
+    fn scatter(&self, v: VertexId, rank: &f64) -> f64 {
+        self.0.scatter(v, rank)
     }
 
     fn zero(&self) -> f64 {
@@ -83,6 +88,8 @@ fn bench_kernels(c: &mut Criterion) {
     let (n, edges, deg) = workload();
     let prog = PageRank::new(n, Arc::clone(&deg));
     let vals = vec![1.0 / n as f64; n as usize];
+    // The kernel gathers scatter values, computed once per source.
+    let shares: Vec<f64> = (0..n).map(|v| prog.scatter(v, &vals[v as usize])).collect();
     let ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, edges.clone())));
     let threads = 4;
 
@@ -90,10 +97,11 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("dst_sorted_fine_grained", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-            absorb_single(&prog, &ss, &vals, 0, &mut buf, threads, 8192);
+            absorb_single(&prog, &ss, &shares, 0, &mut buf, threads, 8192);
             black_box(buf.acc[0]);
         })
     });
+    // Scatters per edge inside `coarse_absorb`, as the baselines do.
     group.bench_function("src_sorted_coarse_grained", |b| {
         let mut src_sorted = edges.clone();
         src_sorted.sort_unstable();
@@ -127,22 +135,24 @@ fn bench_kernels(c: &mut Criterion) {
         dense_deg[s as usize] += 1;
     }
     let dense_deg = Arc::new(dense_deg);
-    let dense_vals = vec![1.0 / dn as f64; dn as usize];
     let dense_ss = Arc::new(SubShardView::from(&SubShard::from_edges(0, 0, dense_edges)));
     let dense_prog = PageRank::new(dn, Arc::clone(&dense_deg));
+    let dense_shares: Vec<f64> = (0..dn)
+        .map(|v| dense_prog.scatter(v, &(1.0 / dn as f64)))
+        .collect();
     let scalar_prog = ScalarPageRank(PageRank::new(dn, Arc::clone(&dense_deg)));
     let mut group = c.benchmark_group("absorb_run");
     group.bench_function("scalar", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<ScalarPageRank>::new(&scalar_prog, 0, dn as usize);
-            absorb_single(&scalar_prog, &dense_ss, &dense_vals, 0, &mut buf, 1, usize::MAX);
+            absorb_single(&scalar_prog, &dense_ss, &dense_shares, 0, &mut buf, 1, usize::MAX);
             black_box(buf.acc[0]);
         })
     });
     group.bench_function("unrolled4", |b| {
         b.iter(|| {
             let mut buf = AccBuf::<PageRank>::new(&dense_prog, 0, dn as usize);
-            absorb_single(&dense_prog, &dense_ss, &dense_vals, 0, &mut buf, 1, usize::MAX);
+            absorb_single(&dense_prog, &dense_ss, &dense_shares, 0, &mut buf, 1, usize::MAX);
             black_box(buf.acc[0]);
         })
     });
@@ -150,7 +160,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("hub");
     let mut buf = AccBuf::<PageRank>::new(&prog, 0, n as usize);
-    absorb_single(&prog, &ss, &vals, 0, &mut buf, threads, 8192);
+    absorb_single(&prog, &ss, &shares, 0, &mut buf, threads, 8192);
     group.bench_function("compact", |b| {
         b.iter(|| black_box(buf.compact()))
     });

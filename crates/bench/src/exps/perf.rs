@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nxgraph_bench::report::{fmt_secs, Table};
-use nxgraph_bench::workloads::{prepare_os_disk, prepare_streamed_os};
+use nxgraph_bench::workloads::{prepare_os_disk, prepare_streamed_os, ScratchRoot};
 use nxgraph_core::algo;
 use nxgraph_core::dsss::{SubShard, SubShardView};
 use nxgraph_core::engine::Strategy;
@@ -191,11 +191,8 @@ fn measure(scale: u32, opts: &Opts) -> ScaleReport {
         // Real files (OsDisk): an out-of-core system's wall clock includes
         // read+decode, which is exactly what the prefetcher overlaps — and
         // inflation runs on its decode thread.
-        let root = std::env::temp_dir().join(format!(
-            "nxbench-perf-{}-{scale}-{encoding}",
-            std::process::id()
-        ));
-        let (g, os) = prepare_os_disk(&d, 8, false, &root, encoding, DiskConfig::default());
+        let root = ScratchRoot::new(&format!("nxbench-perf-{scale}-{encoding}"));
+        let (g, os) = prepare_os_disk(&d, 8, false, root.path(), encoding, DiskConfig::default());
         let n = g.num_vertices() as u64;
         shape = (g.num_vertices(), g.num_edges());
         disk.push(DiskReport {
@@ -245,8 +242,6 @@ fn measure(scale: u32, opts: &Opts) -> ScaleReport {
                 });
             }
         }
-        drop(g);
-        let _ = std::fs::remove_dir_all(&root);
     }
     ScaleReport {
         dataset: d.name,
@@ -320,13 +315,17 @@ fn measure_out_of_core(opts: &Opts) -> OocReport {
     let mut shape = (String::new(), 0u32, 0u64);
     let mut prep_secs = 0.0f64;
     for encoding in [EncodingPolicy::Raw, EncodingPolicy::Compressed] {
-        let root = std::env::temp_dir().join(format!(
-            "nxbench-ooc-{}-{scale}-{encoding}",
-            std::process::id()
-        ));
+        let root = ScratchRoot::new(&format!("nxbench-ooc-{scale}-{encoding}"));
         let t = Instant::now();
-        let (g, os) =
-            prepare_streamed_os(scale, EDGE_FACTOR, opts.seed, 8, &root, encoding, disk_cfg);
+        let (g, os) = prepare_streamed_os(
+            scale,
+            EDGE_FACTOR,
+            opts.seed,
+            8,
+            root.path(),
+            encoding,
+            disk_cfg,
+        );
         prep_secs += t.elapsed().as_secs_f64();
         // Device emulation: reopen the graph through a pacing wrapper so
         // the measured iterations see the named profile's bandwidth and
@@ -370,8 +369,6 @@ fn measure_out_of_core(opts: &Opts) -> OocReport {
             read_bytes_per_iter: stats.io.read_bytes / stats.iterations.max(1) as u64,
             io: *io,
         });
-        drop(g);
-        let _ = std::fs::remove_dir_all(&root);
     }
     OocReport {
         dataset: shape.0,

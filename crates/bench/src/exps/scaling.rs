@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nxgraph_bench::report::Table;
-use nxgraph_bench::workloads::prepare_os_enc;
+use nxgraph_bench::workloads::{prepare_os_enc, ScratchRoot};
 use nxgraph_core::algo::{self, sssp, PersonalizedPageRank};
 use nxgraph_core::dsss::PreparedGraph;
 use nxgraph_core::engine::{self, EngineConfig, Strategy, SyncMode};
@@ -189,13 +189,10 @@ fn measure_sweep(opts: &Opts) -> ScalingReport {
         name: format!("rmat-{scale}x{EDGE_FACTOR}"),
         edges: rmat::generate(&cfg),
     };
-    let root = std::env::temp_dir().join(format!(
-        "nxbench-scaling-{}-{scale}",
-        std::process::id()
-    ));
+    let root = ScratchRoot::new(&format!("nxbench-scaling-{scale}"));
     // `auto` encoding: the default modern path, and the one whose decode
     // cost the parallel prefetch workers actually overlap.
-    let g = prepare_os_enc(&d, 8, false, &root, EncodingPolicy::Auto);
+    let g = prepare_os_enc(&d, 8, false, root.path(), EncodingPolicy::Auto);
     let n = g.num_vertices() as u64;
 
     let mut rows = Vec::new();
@@ -233,7 +230,6 @@ fn measure_sweep(opts: &Opts) -> ScalingReport {
     }
     let (vertices, edges) = (g.num_vertices(), g.num_edges());
     drop(g);
-    let _ = std::fs::remove_dir_all(&root);
     ScalingReport {
         dataset: d.name,
         scale,

@@ -1,5 +1,7 @@
 //! Workload construction shared by the harness and the Criterion benches.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nxgraph_core::dsss::PreparedGraph;
@@ -7,6 +9,39 @@ use nxgraph_core::prep::{preprocess, preprocess_streamed, PrepConfig};
 use nxgraph_graphgen::datasets::Dataset;
 use nxgraph_graphgen::rmat::{self, RmatConfig};
 use nxgraph_storage::{Disk, DiskConfig, EncodingPolicy, MemDisk, OsDisk};
+
+/// A scratch directory under the system temp dir owned by one run and
+/// removed when dropped. It is made with `create_dir`, which fails on an
+/// existing name, so no two runs — nor two tests in one process — can
+/// share one; a taken name retries under the next counter value.
+pub struct ScratchRoot(PathBuf);
+
+impl ScratchRoot {
+    /// Create `temp_dir()/{prefix}-{pid}-{k}` for the first free `k`.
+    pub fn new(prefix: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let k = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir().join(format!("{prefix}-{}-{k}", std::process::id()));
+            match std::fs::create_dir(&path) {
+                Ok(()) => return Self(path),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => panic!("create scratch dir {}: {e}", path.display()),
+            }
+        }
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Convert generated raw edges into the `(u64, u64)` pairs preprocessing
 /// consumes.
@@ -126,13 +161,13 @@ mod tests {
 
     #[test]
     fn streamed_workload_builds_and_runs() {
-        let root = std::env::temp_dir().join(format!("nxbench-stream-test-{}", std::process::id()));
+        let root = ScratchRoot::new("nxbench-stream-test");
         let (g, os) = prepare_streamed_os(
             6,
             4,
             7,
             4,
-            &root,
+            root.path(),
             EncodingPolicy::Auto,
             DiskConfig { direct_reads: true },
         );
@@ -141,7 +176,16 @@ mod tests {
         assert!(!g.has_reverse());
         // The direct-read config made it through to the disk.
         assert!(os.config().direct_reads);
-        drop(g);
-        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn scratch_roots_are_distinct_and_removed() {
+        let a = ScratchRoot::new("nxbench-scratch-test");
+        let b = ScratchRoot::new("nxbench-scratch-test");
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().is_dir() && b.path().is_dir());
+        let path = a.path().to_path_buf();
+        drop(a);
+        assert!(!path.exists());
     }
 }

@@ -75,9 +75,9 @@ impl VertexProgram for SumNeighbors {
         if srcs.is_empty() {
             return false;
         }
-        // Shared 4-lane ILP unroll over the companion table (absorb
-        // ignores src_vals by design — see the comment on `absorb`).
-        let run = super::unrolled_table_sum(srcs, &self.companion);
+        // Shared 4-lane gather over the companion table (absorb ignores
+        // src_vals by design — see the comment on `absorb`).
+        let run = super::simd::table_sum(srcs, &self.companion, 0);
         self.combine(acc, &run);
         true
     }

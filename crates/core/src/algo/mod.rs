@@ -15,7 +15,7 @@ pub mod kcore;
 pub mod pagerank;
 pub mod ppr;
 pub mod scc;
-pub(crate) mod simd;
+pub mod simd;
 pub mod sssp;
 pub mod wcc;
 
@@ -33,32 +33,6 @@ pub use ppr::PersonalizedPageRank;
 pub use scc::SccOutcome;
 pub use sssp::Sssp;
 pub use wcc::Wcc;
-
-/// `Σ src_vals[s − base] · weight[s]` over one destination's source run —
-/// the shared inner loop of the f64 `absorb_run` overrides (PageRank/PPR
-/// with reciprocal out-degrees as weights, HITS via
-/// [`unrolled_table_sum`]).
-///
-/// Dispatches to the SIMD kernels in [`simd`] (AVX → SSE2 → scalar
-/// unroll); every path computes the same four partial lanes and folds
-/// them as `((l0+l1)+(l2+l3))+tail`, so the result is bitwise-identical
-/// regardless of the vector extension the host happens to have.
-#[inline]
-pub(crate) fn unrolled_weighted_sum(
-    srcs: &[VertexId],
-    src_vals: &[f64],
-    base: usize,
-    weight: &[f64],
-) -> f64 {
-    simd::weighted_sum(srcs, src_vals, base, weight)
-}
-
-/// `Σ table[s]` over a source run (HITS sums the companion score table
-/// directly; see [`unrolled_weighted_sum`] for the dispatch contract).
-#[inline]
-pub(crate) fn unrolled_table_sum(srcs: &[VertexId], table: &[f64]) -> f64 {
-    simd::table_sum(srcs, table)
-}
 
 /// Run `iterations` of PageRank (damping 0.85) and return ranks.
 pub fn pagerank(

@@ -6,6 +6,13 @@
 //! DPU hubs is the partial sum — exactly the "8-byte vertex attribute"
 //! configuration the paper uses for its I/O model (§III-C).
 //!
+//! [`scatter`](VertexProgram::scatter) computes `rank · (1/outdeg)` once per
+//! source per iteration, so folding a destination's source run is a plain
+//! gather-sum ([`simd::table_sum`](super::simd::table_sum)): one random
+//! 8-byte load per edge. The product is the same IEEE multiply the per-edge
+//! loop used to do, in the same lane and fold order, and is never fused
+//! into an FMA, so ranks are bitwise-unchanged by where it is computed.
+//!
 //! Dangling mass is not redistributed (matching the reference oracle and
 //! the common out-of-core implementations the paper compares against), so
 //! total mass may shrink below 1 on graphs with dangling vertices.
@@ -21,10 +28,9 @@ pub struct PageRank {
     damping: f64,
     epsilon: f64,
     /// Reciprocal out-degree per vertex, computed once at construction:
-    /// the absorb hot loop multiplies instead of dividing, keeping the
-    /// 4-lane unroll throughput-bound on the FPU adders/multipliers
-    /// rather than the (unpipelined) divider. Vertices with no out-edges
-    /// map to 0.0 — they never appear as sub-shard sources.
+    /// scatter multiplies instead of dividing, off the (unpipelined)
+    /// divider. Vertices with no out-edges map to 0.0 — they never appear
+    /// as sub-shard sources.
     inv_deg: Vec<f64>,
 }
 
@@ -63,19 +69,22 @@ impl VertexProgram for PageRank {
     type Accum = f64;
     const APPLY_NEEDS_OLD: bool = false;
     const ALWAYS_APPLY: bool = true;
+    const SCATTERS: bool = true;
 
     fn init(&self, _v: VertexId) -> f64 {
         1.0 / self.n
+    }
+
+    fn scatter(&self, v: VertexId, rank: &f64) -> f64 {
+        *rank * self.inv_deg[v as usize]
     }
 
     fn zero(&self) -> f64 {
         0.0
     }
 
-    fn absorb(&self, src: VertexId, src_val: &f64, _dst: VertexId, acc: &mut f64) -> bool {
-        // Every source inside a sub-shard has at least one out-edge, so
-        // inv_deg is never the 0.0 placeholder here.
-        *acc += *src_val * self.inv_deg[src as usize];
+    fn absorb(&self, _src: VertexId, share: &f64, _dst: VertexId, acc: &mut f64) -> bool {
+        *acc += *share;
         true
     }
 
@@ -94,8 +103,8 @@ impl VertexProgram for PageRank {
         if srcs.is_empty() {
             return false;
         }
-        // 4-way ILP unroll (shared lane loop), one combine fold at the end.
-        let run = super::unrolled_weighted_sum(srcs, src_vals, src_base as usize, &self.inv_deg);
+        // 4-lane gather over the scatter values, one combine fold at the end.
+        let run = super::simd::table_sum(srcs, src_vals, src_base as usize);
         self.combine(acc, &run);
         true
     }
@@ -121,9 +130,9 @@ mod tests {
     fn absorb_divides_by_out_degree() {
         let p = PageRank::new(4, Arc::new(vec![2, 1, 1, 1]));
         let mut acc = 0.0;
-        p.absorb(0, &0.5, 3, &mut acc);
+        p.absorb(0, &p.scatter(0, &0.5), 3, &mut acc);
         assert!((acc - 0.25).abs() < 1e-15);
-        p.absorb(1, &0.5, 3, &mut acc);
+        p.absorb(1, &p.scatter(1, &0.5), 3, &mut acc);
         assert!((acc - 0.75).abs() < 1e-15);
     }
 
@@ -165,7 +174,9 @@ mod tests {
         let degs: Vec<u32> = (0..n).map(|v| v % 5 + 1).collect();
         let p = PageRank::new(n, Arc::new(degs));
         let src_base = 2u32;
-        let src_vals: Vec<f64> = (0..n - src_base).map(|k| 0.01 + k as f64 * 0.37).collect();
+        let src_vals: Vec<f64> = (src_base..n)
+            .map(|v| p.scatter(v, &(0.01 + (v - src_base) as f64 * 0.37)))
+            .collect();
         for len in 0..=13usize {
             let srcs: Vec<u32> = (0..len as u32).map(|k| src_base + (k * 7) % (n - src_base)).collect();
             let mut srcs = srcs;

@@ -2,8 +2,9 @@
 //!
 //! `p(v) = (1−δ)·1[v ∈ S]/|S| + δ · Σ p(u)/outdeg(u)` — ranks vertices by
 //! proximity to the personalisation set `S` (e.g. one user's ego network).
-//! The same global-recompute pattern as [`PageRank`](super::PageRank); the
-//! only change is the teleport term.
+//! The same global-recompute pattern as [`PageRank`](super::PageRank),
+//! including its scatter (`rank · (1/outdeg)` once per source, then a
+//! gather-sum per destination run); the only change is the teleport term.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -15,8 +16,8 @@ use crate::types::VertexId;
 pub struct PersonalizedPageRank {
     sources: HashSet<VertexId>,
     damping: f64,
-    /// Reciprocal out-degrees, precomputed so the absorb hot loop
-    /// multiplies instead of dividing (see [`PageRank`](super::PageRank)).
+    /// Reciprocal out-degrees, precomputed so scatter multiplies instead
+    /// of dividing (see [`PageRank`](super::PageRank)).
     inv_deg: Vec<f64>,
 }
 
@@ -50,6 +51,7 @@ impl VertexProgram for PersonalizedPageRank {
     type Accum = f64;
     const APPLY_NEEDS_OLD: bool = false;
     const ALWAYS_APPLY: bool = true;
+    const SCATTERS: bool = true;
 
     fn init(&self, v: VertexId) -> f64 {
         if self.sources.contains(&v) {
@@ -63,8 +65,12 @@ impl VertexProgram for PersonalizedPageRank {
         0.0
     }
 
-    fn absorb(&self, src: VertexId, src_val: &f64, _dst: VertexId, acc: &mut f64) -> bool {
-        *acc += *src_val * self.inv_deg[src as usize];
+    fn scatter(&self, v: VertexId, rank: &f64) -> f64 {
+        *rank * self.inv_deg[v as usize]
+    }
+
+    fn absorb(&self, _src: VertexId, share: &f64, _dst: VertexId, acc: &mut f64) -> bool {
+        *acc += *share;
         true
     }
 
@@ -83,8 +89,8 @@ impl VertexProgram for PersonalizedPageRank {
         if srcs.is_empty() {
             return false;
         }
-        // Same shared 4-lane ILP unroll as PageRank's scatter sum.
-        let run = super::unrolled_weighted_sum(srcs, src_vals, src_base as usize, &self.inv_deg);
+        // Same 4-lane gather over the scatter values as PageRank.
+        let run = super::simd::table_sum(srcs, src_vals, src_base as usize);
         self.combine(acc, &run);
         true
     }

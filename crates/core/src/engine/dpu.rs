@@ -25,7 +25,7 @@ use crate::types::VertexId;
 use super::iosched::IoSession;
 use super::kernel::absorb_single;
 use super::prefetch::{JobStream, Jobs, Prefetcher};
-use super::state::{finalize_interval_par, AccBuf};
+use super::state::{finalize_interval_par, scatter_in_place, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
 
@@ -66,7 +66,7 @@ pub fn run_dpu<P: VertexProgram>(
             if activity.row_skippable(i) {
                 continue;
             }
-            let src_vals: Vec<P::Value> = g.read_interval(i)?;
+            let mut src_vals: Vec<P::Value> = g.read_interval(i)?;
             let r_i = g.interval_range(i);
             let keys: Vec<(u32, bool)> = (0..p)
                 .flat_map(|j| {
@@ -103,6 +103,9 @@ pub fn run_dpu<P: VertexProgram>(
                 }
             }
             let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
+            // The row buffer is ours alone: scatter it in place, once per
+            // source, while the first sub-shards decode.
+            scatter_in_place(prog, r_i.start, &mut src_vals, cfg.threads);
             for j in 0..p {
                 let r_j = g.interval_range(j);
                 let mut buf: AccBuf<P> =

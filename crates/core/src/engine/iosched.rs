@@ -98,8 +98,13 @@ struct State {
     taken: Vec<bool>,
     /// Length of the contiguous taken prefix — the consumer's frontier.
     frontier: usize,
-    /// Set by [`IoSession::drop`]; unblocks both sides.
+    /// Set by [`IoSession::drop`] or a tripped watchdog; unblocks both
+    /// sides.
     shutdown: bool,
+    /// The watchdog stall that shut the session down, as `(name,
+    /// waited_ms)`: every later waiter gets this typed, fatal cause
+    /// rather than a generic shutdown error.
+    stalled: Option<(String, u64)>,
 }
 
 struct Shared {
@@ -123,12 +128,13 @@ pub struct IoClient {
 
 impl IoClient {
     /// Block until seq `seq`'s reads are all parked, then take them (in
-    /// part order). After session shutdown, returns a synthesized error
-    /// per missing part instead of blocking forever. With a watchdog
-    /// deadline configured, a wait that exceeds it returns a typed
-    /// [`StorageError::Stalled`] (and flags the session for shutdown so
-    /// every other waiter unblocks promptly) — a hung device cancels the
-    /// iteration instead of deadlocking the reorder buffer.
+    /// part order). After session shutdown, returns an error instead of
+    /// blocking forever. With a watchdog deadline configured, a wait that
+    /// exceeds it returns a typed [`StorageError::Stalled`] and shuts the
+    /// session down with that cause, so every other waiter unblocks
+    /// promptly with the same fatal error — a hung device cancels the
+    /// iteration instead of deadlocking the reorder buffer, and no waiter
+    /// sees a retryable error in its place.
     pub fn take(&self, seq: usize) -> SeqResult {
         let started = Instant::now();
         let mut st = self.shared.state.lock();
@@ -147,23 +153,24 @@ impl IoClient {
                 return parts;
             }
             if st.shutdown {
-                return vec![Err(StorageError::Io(std::io::Error::other(
-                    "i/o scheduler shut down before this read was served",
-                )))];
+                let err = match &st.stalled {
+                    Some((name, waited_ms)) => StorageError::Stalled {
+                        name: name.clone(),
+                        waited_ms: *waited_ms,
+                    },
+                    None => StorageError::Io(std::io::Error::other(
+                        "i/o scheduler shut down before this read was served",
+                    )),
+                };
+                return vec![Err(err)];
             }
             match self.shared.deadline {
                 None => self.shared.cv.wait(&mut st),
                 Some(deadline) => {
                     let Some(remaining) = deadline.checked_sub(started.elapsed()) else {
-                        // Deadline tripped: poison the session so sibling
-                        // waiters fail fast instead of each burning a full
-                        // deadline, then surface the typed error.
-                        st.shutdown = true;
-                        self.shared.cv.notify_all();
-                        drop(st);
-                        if let Some(p) = &self.shared.profile {
-                            p.record_stall();
-                        }
+                        // Deadline tripped: poison the session with the
+                        // cause so sibling waiters fail fast with it
+                        // instead of each burning a full deadline.
                         let name = self
                             .shared
                             .plan
@@ -171,10 +178,15 @@ impl IoClient {
                             .and_then(|names| names.first())
                             .cloned()
                             .unwrap_or_else(|| format!("seq {seq}"));
-                        return vec![Err(StorageError::Stalled {
-                            name,
-                            waited_ms: started.elapsed().as_millis() as u64,
-                        })];
+                        let waited_ms = started.elapsed().as_millis() as u64;
+                        st.shutdown = true;
+                        st.stalled = Some((name.clone(), waited_ms));
+                        self.shared.cv.notify_all();
+                        drop(st);
+                        if let Some(p) = &self.shared.profile {
+                            p.record_stall();
+                        }
+                        return vec![Err(StorageError::Stalled { name, waited_ms })];
                     };
                     let _ = self.shared.cv.wait_for(&mut st, remaining);
                 }
@@ -214,6 +226,7 @@ impl IoSession {
                 taken: vec![false; plan.len()],
                 frontier: 0,
                 shutdown: false,
+                stalled: None,
             }),
             cv: Condvar::new(),
             profile,
@@ -543,6 +556,110 @@ mod tests {
             "drop waited on a hung issuer for {:?}",
             drop_started.elapsed()
         );
+    }
+
+    /// A disk whose reads of `hung*` files rendezvous with the test on
+    /// `entered`, then block until `release` — a hung device that needs no
+    /// timing luck to reproduce.
+    struct HungDisk {
+        inner: MemDisk,
+        entered: std::sync::Barrier,
+        released: (Mutex<bool>, Condvar),
+    }
+
+    impl HungDisk {
+        fn release(&self) {
+            *self.released.0.lock() = true;
+            self.released.1.notify_all();
+        }
+    }
+
+    impl Disk for HungDisk {
+        fn create(&self, name: &str) -> StorageResult<Box<dyn nxgraph_storage::DiskWrite>> {
+            self.inner.create(name)
+        }
+        fn open(&self, name: &str) -> StorageResult<Box<dyn nxgraph_storage::DiskRead>> {
+            self.inner.open(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn len_of(&self, name: &str) -> StorageResult<u64> {
+            self.inner.len_of(name)
+        }
+        fn remove(&self, name: &str) -> StorageResult<()> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn counters(&self) -> &Arc<nxgraph_storage::IoCounters> {
+            self.inner.counters()
+        }
+        fn read_shared(&self, name: &str, pool: &Arc<BufferPool>) -> StorageResult<SharedBytes> {
+            if name.starts_with("hung") {
+                self.entered.wait();
+                let mut released = self.released.0.lock();
+                while !*released {
+                    self.released.1.wait(&mut released);
+                }
+            }
+            self.inner.read_shared(name, pool)
+        }
+    }
+
+    fn expect_stall(parts: &SeqResult, who: &str) {
+        match &parts[0] {
+            Err(e @ StorageError::Stalled { .. }) => {
+                assert_eq!(e.class(), nxgraph_storage::ErrorClass::Fatal, "{who}");
+            }
+            Err(e) => panic!("{who}: expected Stalled, got {e}"),
+            Ok(_) => panic!("{who}: expected Stalled, got bytes"),
+        }
+    }
+
+    #[test]
+    fn every_waiter_on_a_hung_read_sees_the_typed_stall() {
+        let disk = Arc::new(HungDisk {
+            inner: MemDisk::new(),
+            entered: std::sync::Barrier::new(2),
+            released: (Mutex::new(false), Condvar::new()),
+        });
+        disk.inner.write_all_to("hung.bin", &[1u8; 16]).unwrap();
+        disk.inner.write_all_to("next.bin", &[2u8; 16]).unwrap();
+        // Layout order issues `hung.bin` first, so `next.bin` is never
+        // read while the device hangs.
+        let plan = vec![vec!["hung.bin".to_string()], vec!["next.bin".to_string()]];
+        let session = IoSession::start(
+            Arc::clone(&disk) as Arc<dyn Disk>,
+            BufferPool::new(),
+            plan,
+            4,
+            RetryPolicy::none(),
+            Some(Duration::from_millis(20)),
+        );
+        // Rendezvous with the issuer inside the hung read, then release
+        // both waiters together.
+        disk.entered.wait();
+        let client = session.client();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let waiters: Vec<_> = (0..2)
+            .map(|seq| {
+                let (client, start) = (client.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    client.take(seq)
+                })
+            })
+            .collect();
+        for (seq, w) in waiters.into_iter().enumerate() {
+            expect_stall(&w.join().unwrap(), &format!("waiter on seq {seq}"));
+        }
+        // A waiter arriving after the trip gets the recorded cause, not a
+        // retryable shutdown error.
+        expect_stall(&client.take(1), "late waiter");
+        disk.release();
+        drop(session);
     }
 
     #[test]

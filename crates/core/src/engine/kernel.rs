@@ -25,8 +25,10 @@ use super::SyncMode;
 /// the accumulator slice `acc`/`has`, which covers global destination ids
 /// `[slice_base, slice_base + acc.len())`.
 ///
-/// `src_vals` holds the source interval's previous-iteration attributes,
-/// starting at global id `src_base`.
+/// `src_vals` holds the source interval's scatter values for this
+/// iteration ([`VertexProgram::scatter`] of the previous attributes, or
+/// the attributes themselves for programs that do not scatter), starting
+/// at global id `src_base`.
 ///
 /// Flat-edge iteration: the CSR layout guarantees each destination's
 /// sources form one contiguous `srcs` run, so the whole run is handed to

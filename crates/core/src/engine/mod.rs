@@ -27,7 +27,7 @@ use crate::types::Attr;
 pub use iosched::{IoClient, IoSession};
 pub use prefetch::{JobStream, Prefetcher};
 pub use select::choose_strategy;
-pub use state::{finalize_interval, AccBuf};
+pub use state::{finalize_interval, scatter_in_place, AccBuf};
 pub use store::ShardStore;
 
 /// Update strategy (§III-B).

@@ -14,16 +14,19 @@
 //!
 //! At `Q = P` this degenerates to SPU, at `Q = 0` to DPU; in between the
 //! I/O amount interpolates Table II's MPU row.
+//!
+//! Scatter values take no extra memory: the resident "next" copy holds
+//! them until the resident intervals finalize, after phase C (phase C's
+//! resident rows gather from it too), and each on-disk row is scattered in
+//! place once it is read.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::dsss::{HubView, PreparedGraph, SubShardView};
 use crate::error::EngineResult;
-use crate::parallel::{run_tasks, split_ranges};
 use crate::program::VertexProgram;
 use crate::types::{Attr, VertexId};
 
@@ -31,7 +34,9 @@ use super::iosched::IoSession;
 use super::kernel::{absorb_row, absorb_single};
 use super::prefetch::{JobStream, Jobs, Prefetcher};
 use super::select::choose_strategy;
-use super::state::{finalize_interval_par, finalize_range, AccBuf};
+use super::state::{
+    finalize_interval_par, finalize_intervals_par, scatter_in_place, scatter_into, AccBuf,
+};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
 
@@ -113,6 +118,13 @@ pub fn run_mpu<P: VertexProgram>(
             a.get_mut().reset(prog);
         }
         let mut changed = vec![false; p as usize];
+        // Resident sources' scatter values, for phases A and C.
+        let src_res: &[P::Value] = if P::SCATTERS {
+            scatter_into(prog, 0, &prev_res, &mut next_res, cfg.threads);
+            &next_res
+        } else {
+            &prev_res
+        };
 
         // ------------------------------------------------------------------
         // Phase A: resident rows into resident columns (SPU order).
@@ -132,7 +144,7 @@ pub fn run_mpu<P: VertexProgram>(
                 absorb_row(
                     prog,
                     &shards,
-                    &prev_res[r.start as usize..r.end as usize],
+                    &src_res[r.start as usize..r.end as usize],
                     r.start,
                     &mut accs_res,
                     cfg.threads,
@@ -154,7 +166,7 @@ pub fn run_mpu<P: VertexProgram>(
             if activity.row_skippable(i) {
                 continue;
             }
-            let src_vals: Vec<P::Value> = g.read_interval(i)?;
+            let mut src_vals: Vec<P::Value> = g.read_interval(i)?;
             let r_i = g.interval_range(i);
             // Keys in exact consumption order: resident destinations per
             // direction, then hub destinations with both directions folded
@@ -206,6 +218,7 @@ pub fn run_mpu<P: VertexProgram>(
                 }
             }
             let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
+            scatter_in_place(prog, r_i.start, &mut src_vals, cfg.threads);
             // Resident destinations: SPU-like, straight into accs_res.
             for _ in dirs {
                 let mut shards: Vec<Option<Arc<SubShardView>>> = vec![None; p as usize];
@@ -251,57 +264,12 @@ pub fn run_mpu<P: VertexProgram>(
             }
         }
 
-        // Finalise resident intervals (all their contributions arrived in
-        // phases A and B) as one flat batch of destination-range chunks.
-        // Keep prev_res intact — phase C reads it.
-        if q > 0 {
-            let bufs: Vec<&AccBuf<P>> = accs_res[..q as usize]
-                .iter_mut()
-                .map(|a| &*a.as_mut().expect("resident").get_mut())
-                .collect();
-            let changed_flags: Vec<AtomicBool> =
-                (0..q).map(|_| AtomicBool::new(false)).collect();
-            let mut rest: &mut [P::Value] = &mut next_res;
-            let mut tasks: Vec<(u32, usize, &mut [P::Value])> = Vec::new();
-            for j in 0..q {
-                let len = g.interval_len(j);
-                let (mut slice, r2) = rest.split_at_mut(len);
-                rest = r2;
-                for range in split_ranges(len, cfg.threads) {
-                    let (chunk, srest) = std::mem::take(&mut slice).split_at_mut(range.len());
-                    slice = srest;
-                    tasks.push((j, range.start, chunk));
-                }
-            }
-            let prev_ref = &prev_res;
-            let bufs_ref = &bufs;
-            let flags = &changed_flags;
-            run_tasks(cfg.threads, tasks, |(j, off, out)| {
-                let r = g.interval_range(j);
-                let lo = r.start as usize + off;
-                let ch = finalize_range(
-                    prog,
-                    bufs_ref[j as usize],
-                    off,
-                    &prev_ref[lo..lo + out.len()],
-                    out,
-                );
-                if ch {
-                    flags[j as usize].store(true, Ordering::Relaxed);
-                }
-            });
-            for j in 0..q as usize {
-                changed[j] = changed_flags[j].load(Ordering::Relaxed);
-            }
-        }
-
         // ------------------------------------------------------------------
         // Phase C: on-disk columns; resident rows absorb directly, on-disk
         // rows fold hubs. One mixed stream per column carries the
         // resident-row sub-shards followed by the column's hubs, so hub
         // reads overlap the tail of the shard absorbs.
         // ------------------------------------------------------------------
-        let mut any_changed = changed.iter().any(|&c| c);
         for j in q..p {
             let r_j = g.interval_range(j);
             let len = (r_j.end - r_j.start) as usize;
@@ -397,7 +365,7 @@ pub fn run_mpu<P: VertexProgram>(
                 absorb_single(
                     prog,
                     &ss,
-                    &prev_res[r_i.start as usize..r_i.end as usize],
+                    &src_res[r_i.start as usize..r_i.end as usize],
                     r_i.start,
                     &mut buf,
                     cfg.threads,
@@ -428,11 +396,24 @@ pub fn run_mpu<P: VertexProgram>(
             let ch = finalize_interval_par(prog, &buf, &old, &mut new_vals, cfg.threads);
             g.write_interval(j, &new_vals)?;
             changed[j as usize] = ch;
-            any_changed |= ch;
+        }
+
+        // Finalise resident intervals (all their contributions arrived in
+        // phases A and B) as one flat batch of destination-range chunks.
+        // Runs after phase C, whose resident rows gather from `src_res`.
+        if q > 0 {
+            let bufs: Vec<&AccBuf<P>> = accs_res[..q as usize]
+                .iter_mut()
+                .map(|a| &*a.as_mut().expect("resident").get_mut())
+                .collect();
+            let resident_changed =
+                finalize_intervals_par(prog, &bufs, &prev_res, &mut next_res, cfg.threads);
+            changed[..q as usize].copy_from_slice(&resident_changed);
         }
 
         std::mem::swap(&mut prev_res, &mut next_res);
 
+        let any_changed = changed.iter().any(|&c| c);
         let all_inactive = activity.advance(&changed);
         let done = if P::ALWAYS_APPLY {
             // Resident intervals have real old values; disk intervals only

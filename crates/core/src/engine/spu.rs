@@ -14,22 +14,25 @@
 //! destination interval is touched by exactly one direction's sub-shard,
 //! so the fold order per accumulator is the fixed row order and results
 //! are bitwise-identical at any thread count under either flavour.
+//!
+//! Scatter values need no extra memory: at the start of an iteration the
+//! "next" copy is idle (finalize writes it and reads only "prev"), so it
+//! first holds every source's [`scatter`](VertexProgram::scatter) value for
+//! the kernel to gather, then receives the results.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::dsss::{PreparedGraph, SubShardView};
 use crate::error::EngineResult;
-use crate::parallel::{run_tasks, split_ranges};
 use crate::program::VertexProgram;
-use crate::types::{Attr, VertexId};
+use crate::types::Attr;
 
 use super::iosched::IoSession;
 use super::kernel::absorb_row;
 use super::prefetch::{JobStream, Jobs, Prefetcher};
-use super::state::{finalize_range, AccBuf};
+use super::state::{finalize_intervals_par, scatter_into, AccBuf};
 use super::store::ShardStore;
 use super::{Activity, EngineConfig};
 
@@ -141,6 +144,13 @@ pub fn run_spu<P: VertexProgram>(
             }
         }
         let mut stream = JobStream::new(prefetcher.as_ref(), jobs);
+        // Scatter once per source while the first streamed rows decode.
+        let src_vals: &[P::Value] = if P::SCATTERS {
+            scatter_into(prog, 0, &prev, &mut next, cfg.threads);
+            &next
+        } else {
+            &prev
+        };
         for (&(_, i), hits) in rows.iter().zip(cached_rows) {
             let mut shards: Vec<Option<Arc<SubShardView>>> =
                 Vec::with_capacity(p as usize);
@@ -156,7 +166,7 @@ pub fn run_spu<P: VertexProgram>(
             absorb_row(
                 prog,
                 &shards,
-                &prev[r.start as usize..r.end as usize],
+                &src_vals[r.start as usize..r.end as usize],
                 r.start,
                 &mut accs,
                 cfg.threads,
@@ -168,50 +178,14 @@ pub fn run_spu<P: VertexProgram>(
 
         // Finalise every interval as one flat batch of destination-range
         // chunks (apply is elementwise, so chunking does not affect the
-        // values). One batch — not one per interval — so a handful of
-        // large intervals still spreads across all workers.
-        let changed_flags: Vec<AtomicBool> = (0..p).map(|_| AtomicBool::new(false)).collect();
-        {
-            let bufs: Vec<&AccBuf<P>> = accs
-                .iter_mut()
-                .map(|a| &*a.as_mut().expect("all intervals present in SPU").get_mut())
-                .collect();
-            let mut rest: &mut [P::Value] = &mut next;
-            let mut tasks: Vec<(u32, usize, &mut [P::Value])> = Vec::new();
-            for j in 0..p {
-                let len = g.interval_len(j);
-                let (mut slice, r2) = rest.split_at_mut(len);
-                rest = r2;
-                for range in split_ranges(len, cfg.threads) {
-                    let (chunk, srest) = std::mem::take(&mut slice).split_at_mut(range.len());
-                    slice = srest;
-                    tasks.push((j, range.start, chunk));
-                }
-            }
-            let prev_ref = &prev;
-            let bufs_ref = &bufs;
-            let flags = &changed_flags;
-            run_tasks(cfg.threads, tasks, |(j, off, out)| {
-                let r = g.interval_range(j);
-                let lo = r.start as usize + off;
-                let ch = finalize_range(
-                    prog,
-                    bufs_ref[j as usize],
-                    off,
-                    &prev_ref[lo..lo + out.len()],
-                    out,
-                );
-                if ch {
-                    flags[j as usize].store(true, Ordering::Relaxed);
-                }
-            });
-        }
+        // values).
+        let bufs: Vec<&AccBuf<P>> = accs
+            .iter_mut()
+            .map(|a| &*a.as_mut().expect("all intervals present in SPU").get_mut())
+            .collect();
+        let changed = finalize_intervals_par(prog, &bufs, &prev, &mut next, cfg.threads);
         std::mem::swap(&mut prev, &mut next);
 
-        let changed: Vec<bool> = changed_flags
-            .iter()
-            .map(|f| f.load(Ordering::Relaxed))
-            .collect();
         let all_inactive = activity.advance(&changed);
         let done = if P::ALWAYS_APPLY {
             !changed.iter().any(|&c| c)
@@ -225,9 +199,6 @@ pub fn run_spu<P: VertexProgram>(
 
     Ok((prev, iterations, edges_traversed))
 }
-
-// `VertexId` is used in the interval geometry; keep the import honest.
-const _: fn(VertexId) = |_| {};
 
 #[cfg(test)]
 mod tests {

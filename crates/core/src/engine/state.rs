@@ -213,31 +213,95 @@ pub fn finalize_interval_par<P: VertexProgram>(
     out: &mut [P::Value],
     threads: usize,
 ) -> bool {
-    debug_assert_eq!(old.len(), buf.len());
-    debug_assert_eq!(out.len(), buf.len());
-    if threads <= 1 || buf.len() <= 1 {
-        return finalize_interval(prog, buf, old, out);
-    }
-    let any = AtomicBool::new(false);
+    finalize_intervals_par(prog, &[buf], old, out, threads)[0]
+}
+
+/// Finalise consecutive in-memory intervals as one flat batch of
+/// destination-range chunks: `bufs[j]` is the `j`-th interval's buffer,
+/// and `old`/`out` cover all of them back to back. One batch — not one per
+/// interval — so a handful of large intervals still spreads across all
+/// workers. Returns whether each interval changed. Must be called from
+/// outside the worker pool.
+pub fn finalize_intervals_par<P: VertexProgram>(
+    prog: &P,
+    bufs: &[&AccBuf<P>],
+    old: &[P::Value],
+    out: &mut [P::Value],
+    threads: usize,
+) -> Vec<bool> {
+    debug_assert_eq!(old.len(), bufs.iter().map(|b| b.len()).sum::<usize>());
+    debug_assert_eq!(out.len(), old.len());
+    let flags: Vec<AtomicBool> = bufs.iter().map(|_| AtomicBool::new(false)).collect();
     #[allow(clippy::type_complexity)]
-    let mut tasks: Vec<(usize, &[P::Value], &mut [P::Value])> = Vec::new();
+    let mut tasks: Vec<(usize, usize, &[P::Value], &mut [P::Value])> = Vec::new();
     let mut old_rest = old;
     let mut out_rest = out;
-    let mut offset = 0usize;
-    for range in split_ranges(buf.len(), threads) {
-        let (o, orest) = old_rest.split_at(range.len());
-        let (w, wrest) = std::mem::take(&mut out_rest).split_at_mut(range.len());
-        old_rest = orest;
-        out_rest = wrest;
-        tasks.push((offset, o, w));
-        offset = range.end;
+    for (j, buf) in bufs.iter().enumerate() {
+        for range in split_ranges(buf.len(), threads) {
+            let (o, orest) = old_rest.split_at(range.len());
+            let (w, wrest) = std::mem::take(&mut out_rest).split_at_mut(range.len());
+            old_rest = orest;
+            out_rest = wrest;
+            tasks.push((j, range.start, o, w));
+        }
     }
-    run_tasks(threads, tasks, |(off, o, w)| {
-        if finalize_range(prog, buf, off, o, w) {
-            any.store(true, Ordering::Relaxed);
+    run_tasks(threads, tasks, |(j, off, o, w)| {
+        if finalize_range(prog, bufs[j], off, o, w) {
+            flags[j].store(true, Ordering::Relaxed);
         }
     });
-    any.load(Ordering::Relaxed)
+    flags.into_iter().map(AtomicBool::into_inner).collect()
+}
+
+/// Overwrite `out` with scatter values: `out[k]` becomes vertex
+/// `base + k`'s [`scatter`](VertexProgram::scatter) of `vals[k]`. Runs
+/// chunk-parallel like the finalizers (scatter is elementwise); must be
+/// called from outside the worker pool.
+pub fn scatter_into<P: VertexProgram>(
+    prog: &P,
+    base: VertexId,
+    vals: &[P::Value],
+    out: &mut [P::Value],
+    threads: usize,
+) {
+    debug_assert_eq!(vals.len(), out.len());
+    par_chunks(out, threads, |off, chunk| {
+        for (k, (o, v)) in chunk.iter_mut().zip(&vals[off..]).enumerate() {
+            *o = prog.scatter(base + (off + k) as VertexId, v);
+        }
+    });
+}
+
+/// Replace a buffer of attributes nothing else reads (a source row read
+/// from disk) with their scatter values, vertex `base + k` at `vals[k]`.
+/// A no-op for programs that do not scatter.
+pub fn scatter_in_place<P: VertexProgram>(
+    prog: &P,
+    base: VertexId,
+    vals: &mut [P::Value],
+    threads: usize,
+) {
+    if !P::SCATTERS {
+        return;
+    }
+    par_chunks(vals, threads, |off, chunk| {
+        for (k, v) in chunk.iter_mut().enumerate() {
+            *v = prog.scatter(base + (off + k) as VertexId, v);
+        }
+    });
+}
+
+/// Run `f(offset, chunk)` over `threads` disjoint chunks of `buf` as one
+/// pool batch.
+fn par_chunks<T: Send>(buf: &mut [T], threads: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let mut tasks = Vec::new();
+    let mut rest = buf;
+    for range in split_ranges(rest.len(), threads) {
+        let (chunk, r) = std::mem::take(&mut rest).split_at_mut(range.len());
+        rest = r;
+        tasks.push((range.start, chunk));
+    }
+    run_tasks(threads, tasks, |(off, chunk)| f(off, chunk));
 }
 
 #[cfg(test)]

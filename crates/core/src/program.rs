@@ -6,10 +6,16 @@
 //! interval. We decompose `Update` into three pieces so the same program
 //! runs unmodified under SPU, DPU and MPU:
 //!
+//! * [`VertexProgram::scatter`] — turns a source's attribute into the
+//!   value it sends along every out-edge (PageRank: `rank / out-degree`,
+//!   as a Pregel vertex sends one message value to all its neighbours).
+//!   The engines call it once per source vertex per iteration, before any
+//!   sub-shard is folded, so per-source work never repeats per edge.
 //! * [`VertexProgram::absorb`] — folds one edge `(src → dst)` into the
-//!   destination's accumulator. Runs inside a sub-shard where both
-//!   endpoints are known, which is what lets programs filter per-edge
-//!   (e.g. the SCC backward phase only accepts same-colour edges).
+//!   destination's accumulator, given the source's scatter value. Runs
+//!   inside a sub-shard where both endpoints are known, which is what lets
+//!   programs filter per-edge (e.g. the SCC backward phase only accepts
+//!   same-colour edges).
 //! * [`VertexProgram::combine`] — merges two accumulators. DPU stores
 //!   per-sub-shard accumulators in *hubs* and merges them in the FromHub
 //!   phase; `absorb` followed by `combine` must be associative and
@@ -47,8 +53,22 @@ pub trait VertexProgram: Send + Sync {
     /// (BFS/WCC/SCC), vertices without messages keep their value.
     const ALWAYS_APPLY: bool;
 
+    /// Whether the engines must run [`scatter`](Self::scatter) before
+    /// folding. When `false` (the default) `scatter` must be the identity
+    /// and the engines skip the pass, handing attributes to `absorb`
+    /// unchanged.
+    const SCATTERS: bool = false;
+
     /// Initial attribute of vertex `v` (the paper's `Initialize`).
     fn init(&self, v: VertexId) -> Self::Value;
+
+    /// The value source `v` sends along each of its out-edges this
+    /// iteration, computed once per source from its attribute `val`.
+    /// `absorb`, `absorb_run` and `source_active` receive this value, not
+    /// the attribute. Only called when [`SCATTERS`](Self::SCATTERS) is set.
+    fn scatter(&self, _v: VertexId, val: &Self::Value) -> Self::Value {
+        *val
+    }
 
     /// Whether vertex `v` starts active (BFS: only the root).
     fn initially_active(&self, _v: VertexId) -> bool {
@@ -58,7 +78,8 @@ pub trait VertexProgram: Send + Sync {
     /// The identity accumulator.
     fn zero(&self) -> Self::Accum;
 
-    /// Fold the edge `src → dst` into `acc`. Returns `true` if a message
+    /// Fold the edge `src → dst` into `acc`; `src_val` is the source's
+    /// [`scatter`](Self::scatter) value. Returns `true` if a message
     /// was contributed (drives the has-message tracking that gates
     /// `apply` for non-[`ALWAYS_APPLY`](Self::ALWAYS_APPLY) programs).
     fn absorb(
@@ -74,9 +95,9 @@ pub trait VertexProgram: Send + Sync {
     /// three strategies to produce identical results.
     fn combine(&self, a: &mut Self::Accum, b: &Self::Accum);
 
-    /// Cheap per-source filter: when `false`, the kernel skips all of
-    /// `src`'s edges without calling `absorb` (e.g. unreached BFS
-    /// vertices).
+    /// Cheap per-source filter on the source's scatter value: when
+    /// `false`, the kernel skips all of `src`'s edges without calling
+    /// `absorb` (e.g. unreached BFS vertices).
     fn source_active(&self, _src: VertexId, _val: &Self::Value) -> bool {
         true
     }
@@ -87,12 +108,12 @@ pub trait VertexProgram: Send + Sync {
     /// Destination-sorted sub-shards guarantee `srcs` is the contiguous,
     /// source-sorted run of one destination, so this is the kernel's inner
     /// loop: the flat-edge hot path calls it once per destination instead
-    /// of once per edge. `src_vals[s - src_base]` is source `s`'s
-    /// previous-iteration attribute.
+    /// of once per edge. `src_vals[s - src_base]` is source `s`'s scatter
+    /// value for this iteration.
     ///
     /// The default is the scalar per-edge walk and is always correct.
     /// Programs with cheap, reassociable accumulators (PageRank, HITS,
-    /// PPR) override it with a 4-way unrolled loop that accumulates into
+    /// PPR) override it with a 4-way unrolled gather that accumulates into
     /// independent lanes and folds them through [`combine`](Self::combine);
     /// any override must agree with the default up to accumulator
     /// reassociation.
@@ -207,5 +228,7 @@ mod tests {
         let p = CountIncoming;
         assert!(p.initially_active(0));
         assert!(p.source_active(0, &0));
+        const { assert!(!CountIncoming::SCATTERS) };
+        assert_eq!(p.scatter(3, &7), 7);
     }
 }

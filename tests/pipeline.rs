@@ -6,6 +6,7 @@ use std::sync::Arc;
 use nxgraph::core::algo::{self, pagerank::PageRank, ppr::PersonalizedPageRank, sssp};
 use nxgraph::core::engine::{self, choose_strategy, EngineConfig, Strategy, SyncMode};
 use nxgraph::core::prep::{preprocess, PrepConfig};
+use nxgraph::core::program::{Direction, VertexProgram};
 use nxgraph::core::reference;
 use nxgraph::core::PreparedGraph;
 use nxgraph::graphgen::{er, rmat};
@@ -347,6 +348,96 @@ fn matrix_ppr_matches_oracle() {
             let prog = PersonalizedPageRank::new(sources, Arc::clone(g.out_degrees()));
             let (vals, _) = engine::run(&g, &prog, &cfg.with_max_iterations(8)).unwrap();
             assert_close(&vals, &expect, 1e-9, &format!("{gname}/{cname}"));
+        }
+    }
+}
+
+/// A program whose scatter is not idempotent (`2x + v + 1`, wrapping), so
+/// an engine that scatters a source twice, or not at all, or under the
+/// wrong vertex id, changes the result. Integer arithmetic keeps the fold
+/// exact, so every strategy, sync mode and thread count must match the
+/// oracle exactly.
+struct ScatterOnce;
+
+impl ScatterOnce {
+    fn share(v: u32, x: u32) -> u32 {
+        x.wrapping_mul(2).wrapping_add(v + 1)
+    }
+}
+
+impl VertexProgram for ScatterOnce {
+    type Value = u32;
+    type Accum = u32;
+    const APPLY_NEEDS_OLD: bool = false;
+    const ALWAYS_APPLY: bool = true;
+    const SCATTERS: bool = true;
+
+    fn init(&self, v: u32) -> u32 {
+        v.wrapping_mul(2_654_435_761)
+    }
+
+    fn scatter(&self, v: u32, x: &u32) -> u32 {
+        Self::share(v, *x)
+    }
+
+    fn zero(&self) -> u32 {
+        0
+    }
+
+    fn absorb(&self, _src: u32, share: &u32, _dst: u32, acc: &mut u32) -> bool {
+        *acc = acc.wrapping_add(*share);
+        true
+    }
+
+    fn combine(&self, a: &mut u32, b: &u32) {
+        *a = a.wrapping_add(*b);
+    }
+
+    fn apply(&self, v: u32, _old: &u32, acc: &u32, _got: bool) -> u32 {
+        acc ^ v
+    }
+}
+
+/// `ScatterOnce` on the dense edge list, `both` adding every edge reversed.
+fn scatter_once_oracle(n: u32, edges: &[(u32, u32)], both: bool, iters: usize) -> Vec<u32> {
+    let mut vals: Vec<u32> = (0..n).map(|v| ScatterOnce.init(v)).collect();
+    for _ in 0..iters {
+        let share: Vec<u32> = (0..n)
+            .map(|v| ScatterOnce::share(v, vals[v as usize]))
+            .collect();
+        let mut acc = vec![0u32; n as usize];
+        for &(s, d) in edges {
+            acc[d as usize] = acc[d as usize].wrapping_add(share[s as usize]);
+            if both {
+                acc[s as usize] = acc[s as usize].wrapping_add(share[d as usize]);
+            }
+        }
+        vals = (0..n).map(|v| acc[v as usize] ^ v).collect();
+    }
+    vals
+}
+
+#[test]
+fn matrix_scatter_runs_once_per_source_per_iteration() {
+    for (gname, g, edges) in matrix_graphs() {
+        for direction in [Direction::Forward, Direction::Both] {
+            let expect =
+                scatter_once_oracle(g.num_vertices(), &edges, direction == Direction::Both, 5);
+            for (cname, cfg) in matrix_configs(g.num_vertices() as u64, 4) {
+                for threads in [1, 4] {
+                    let cfg = cfg
+                        .clone()
+                        .with_threads(threads)
+                        .with_direction(direction)
+                        .with_max_iterations(5);
+                    let (vals, stats) = engine::run(&g, &ScatterOnce, &cfg).unwrap();
+                    assert_eq!(
+                        vals, expect,
+                        "{gname}/{cname}/{direction:?}/t{threads} ({:?})",
+                        stats.strategy
+                    );
+                }
+            }
         }
     }
 }

@@ -7,11 +7,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use nxgraph::core::algo;
+use nxgraph::core::algo::simd::{table_sum_on, Lanes};
+use nxgraph::core::algo::PageRank;
 use nxgraph::core::dsss::{merge_edges, MergedSubShardView, SubShard, SubShardView};
 use nxgraph::core::dynamic::{DynamicConfig, DynamicGraph};
 use nxgraph::core::engine::{EngineConfig, Strategy as UpdateStrategy, SyncMode};
 use nxgraph::core::parallel::split_ranges;
 use nxgraph::core::prep::{self, PrepConfig};
+use nxgraph::core::program::VertexProgram;
 use nxgraph::core::reference;
 use nxgraph::core::PreparedGraph;
 use nxgraph::core::maintain;
@@ -433,6 +436,40 @@ proptest! {
     }
 
     #[test]
+    fn scatter_then_gather_is_bitwise_the_weighted_sum(
+        degs in proptest::collection::vec(1u32..5000, 64),
+        ranks in proptest::collection::vec((0.0f64..1.0, 0u32..13), 64),
+        run in proptest::collection::vec(8u32..64, 0..14),
+        base in 0u32..9,
+    ) {
+        // PageRank scatters `rank · (1/outdeg)` once per source and folds
+        // a run with a plain 4-lane gather; the per-edge multiply it
+        // replaces must give the same bits on every SIMD path.
+        let mut srcs = run;
+        srcs.sort_unstable();
+        let n = degs.len() as u32;
+        let prog = PageRank::new(n, Arc::new(degs.clone()));
+        let weight: Vec<f64> = degs.iter().map(|&d| 1.0 / d as f64).collect();
+        let rank_vals: Vec<f64> = ranks[base as usize..]
+            .iter()
+            .map(|&(m, e)| m * 10f64.powi(e as i32 - 6))
+            .collect();
+        let shares: Vec<f64> = (base..n)
+            .map(|v| prog.scatter(v, &rank_vals[(v - base) as usize]))
+            .collect();
+        let want = mul_then_add_weighted_sum(&srcs, &rank_vals, base as usize, &weight);
+        for lanes in Lanes::ALL {
+            if let Some(got) = table_sum_on(lanes, &srcs, &shares, base as usize) {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}: {} vs {}", lanes, got, want);
+            }
+        }
+        let mut acc = 0.0;
+        let any = prog.absorb_run(0, &srcs, &shares, base, &mut acc);
+        prop_assert_eq!(any, !srcs.is_empty());
+        prop_assert_eq!(acc.to_bits(), want.to_bits());
+    }
+
+    #[test]
     fn mpu_matches_spu_at_every_budget(raw in arb_graph(), q_frac in 0.0f64..1.0) {
         let g = prepare(&raw, 5);
         let n = g.num_vertices() as u64;
@@ -447,6 +484,23 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-10);
         }
     }
+}
+
+/// The per-edge PageRank kernel before scatter values: 4 lanes of IEEE
+/// multiply-then-add (never fused), folded as `(l0+l1)+(l2+l3)+tail`.
+fn mul_then_add_weighted_sum(srcs: &[u32], src_vals: &[f64], base: usize, weight: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = srcs.chunks_exact(4);
+    for c in &mut chunks {
+        for k in 0..4 {
+            lanes[k] += src_vals[c[k] as usize - base] * weight[c[k] as usize];
+        }
+    }
+    let mut tail = 0.0;
+    for &s in chunks.remainder() {
+        tail += src_vals[s as usize - base] * weight[s as usize];
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
 // ---------------------------------------------------------------------------
